@@ -9,8 +9,6 @@
 //	fctsweep -schemes Halfback -flow 500000 -buffer 30000 -rtt 20ms
 //	fctsweep -schemes Halfback -utils 10,30 -journal run.journal
 //	fctsweep -resume run.journal
-//	fctsweep -serve-worker :9001 -worker-journal w0.journal   # distributed worker
-//	fctsweep -utils 10,30,50 -journal run.journal -distributed 3
 //
 // Crash safety: with -journal every completed cell is appended to a
 // write-ahead journal before the sweep moves on. SIGINT/SIGTERM drains
@@ -69,14 +67,6 @@ type config struct {
 	memprofile  string
 	journal     string
 	resume      string
-
-	// Distributed sweep modes (see distmode.go).
-	serveWorker   string
-	workerJournal string
-	workersRemote string
-	distributed   int
-	speculate     time.Duration
-	clusterKey    string
 }
 
 // flagSet binds a fresh FlagSet to cfg so the same parser handles both
@@ -101,12 +91,6 @@ func flagSet(cfg *config) *flag.FlagSet {
 	fs.StringVar(&cfg.memprofile, "memprofile", "", "write an allocation profile to this file on exit")
 	fs.StringVar(&cfg.journal, "journal", "", "write-ahead cell journal for this run (must not exist yet)")
 	fs.StringVar(&cfg.resume, "resume", "", "resume a journaled run: replay its completed cells, execute the rest")
-	fs.StringVar(&cfg.serveWorker, "serve-worker", "", "run as a distributed-sweep worker listening on this address (:0 picks a port, announced on stdout)")
-	fs.StringVar(&cfg.workerJournal, "worker-journal", "", "worker-local journal for -serve-worker; uploaded to the coordinator on (re)connect")
-	fs.StringVar(&cfg.workersRemote, "workers-remote", "", "comma-separated worker addresses: coordinate the sweep across them (requires -journal or -resume)")
-	fs.IntVar(&cfg.distributed, "distributed", 0, "single-binary distributed mode: fork N local workers and coordinate across them (requires -journal or -resume)")
-	fs.DurationVar(&cfg.speculate, "speculate", 0, "re-dispatch a cell to an idle worker after this long; first result wins; 0 disables")
-	fs.StringVar(&cfg.clusterKey, "cluster-key", "", "shared secret authenticating coordinator and workers (defaults to $HALFBACK_CLUSTER_KEY); required for non-loopback workers")
 	return fs
 }
 
@@ -145,15 +129,10 @@ func run(args []string) int {
 		return 2
 	}
 
-	if cfg.serveWorker != "" {
-		return runServeWorker(cfg)
-	}
-
 	// -resume: the journal's meta is the source of truth for the run
 	// shape; only execution knobs (workers, profiles) may be overridden
 	// on the resume command line.
 	var journal *fleet.Journal
-	resuming := false
 	if cfg.resume != "" {
 		if cfg.journal != "" {
 			return fail(2, "-journal and -resume are mutually exclusive")
@@ -175,12 +154,7 @@ func run(args []string) int {
 		}
 		cfg.workers = override.workers
 		cfg.cpuprofile, cfg.memprofile = override.cpuprofile, override.memprofile
-		// Distribution is an execution knob like -workers: the resume
-		// command line decides it anew, not the original run's meta.
-		cfg.workersRemote, cfg.distributed, cfg.speculate = override.workersRemote, override.distributed, override.speculate
-		cfg.clusterKey = override.clusterKey
 		journal = j
-		resuming = true
 		fmt.Fprintf(os.Stderr, "fctsweep: resuming %s (%d journaled cells)\n", j.Path(), j.Replayable())
 	}
 
@@ -232,12 +206,6 @@ func run(args []string) int {
 		journal = j
 	}
 
-	coord, coordCleanup, code := setupCoordinator(cfg, journal, resuming)
-	if code != 0 {
-		return code
-	}
-	defer coordCleanup()
-
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	installSignalHandler(cancel)
@@ -255,13 +223,7 @@ func run(args []string) int {
 	// Every (scheme, utilization) cell is an independent universe; fan
 	// them out and add the rows back in sweep order.
 	n := sw.n()
-	workers := cfg.workers
-	fleetRun := &fleet.Run{Journal: journal}
-	if coord != nil {
-		fleetRun.Dispatch = coord
-		workers = coord.Slots()
-	}
-	rows, err := sw.mapCells(ctx, workers, fleetRun)
+	rows, err := sw.mapCells(ctx, cfg.workers, &fleet.Run{Journal: journal})
 
 	// Render every cell honestly: real rows for completed cells,
 	// FAILED(class) rows for crashed ones, nothing for cells a drain
@@ -312,16 +274,11 @@ func run(args []string) int {
 	case failed > 0:
 		return 1
 	}
-	if coord != nil {
-		coord.ShutdownWorkers()
-	}
 	return 0
 }
 
 // sweep is one validated run shape: the parsed scheme × utilization
-// grid plus everything a cell needs. It exists so the coordinator path
-// in run() and the worker-side start function execute the identical
-// cell program.
+// grid plus everything a cell needs.
 type sweep struct {
 	cfg   config
 	names []string
@@ -368,8 +325,8 @@ func (s *sweep) cell(i int) (string, float64) {
 	return s.names[i/len(s.utils)], s.utils[i%len(s.utils)]
 }
 
-// mapCells fans the grid out through the fleet — run's Journal,
-// Dispatch or Serve hooks decide where each cell actually executes.
+// mapCells fans the grid out across the local fleet workers, with
+// run's journal (if any) recording and replaying cells.
 func (s *sweep) mapCells(ctx context.Context, workers int, run *fleet.Run) ([][]any, error) {
 	cfg := s.cfg
 	return fleet.MapOpts(fleet.Options{

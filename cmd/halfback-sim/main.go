@@ -12,9 +12,6 @@
 //	halfback-sim -fig 6 -journal run.journal   # crash-safe run
 //	halfback-sim -resume run.journal           # continue a killed run
 //	halfback-sim -repro run.journal.s0c8.repro.json  # replay one failed cell
-//	halfback-sim -serve-worker :9001 -worker-journal w0.journal   # distributed worker
-//	halfback-sim -fig all -journal run.journal -workers-remote h1:9001,h2:9001
-//	halfback-sim -fig all -journal run.journal -distributed 3     # fork 3 local workers
 //
 // Output goes to stdout; each exhibit renders one or more tables whose
 // rows are the data series of the corresponding figure. Sweeps fan
@@ -105,14 +102,6 @@ type config struct {
 	journal    string
 	resume     string
 	repro      string
-
-	// Distributed sweep modes (see distmode.go).
-	serveWorker   string
-	workerJournal string
-	workersRemote string
-	distributed   int
-	speculate     time.Duration
-	clusterKey    string
 }
 
 func flagSet(cfg *config) *flag.FlagSet {
@@ -130,12 +119,6 @@ func flagSet(cfg *config) *flag.FlagSet {
 	fs.StringVar(&cfg.journal, "journal", "", "write-ahead cell journal for this run (must not exist yet)")
 	fs.StringVar(&cfg.resume, "resume", "", "resume a journaled run: replay its completed cells, execute the rest")
 	fs.StringVar(&cfg.repro, "repro", "", "replay one failed cell from its repro bundle (written next to the journal)")
-	fs.StringVar(&cfg.serveWorker, "serve-worker", "", "run as a distributed-sweep worker listening on this address (:0 picks a port, announced on stdout)")
-	fs.StringVar(&cfg.workerJournal, "worker-journal", "", "worker-local journal for -serve-worker; uploaded to the coordinator on (re)connect")
-	fs.StringVar(&cfg.workersRemote, "workers-remote", "", "comma-separated worker addresses: coordinate the run across them (requires -journal or -resume)")
-	fs.IntVar(&cfg.distributed, "distributed", 0, "single-binary distributed mode: fork N local workers and coordinate across them (requires -journal or -resume)")
-	fs.DurationVar(&cfg.speculate, "speculate", 0, "re-dispatch a cell to an idle worker after this long; first result wins; 0 disables")
-	fs.StringVar(&cfg.clusterKey, "cluster-key", "", "shared secret authenticating coordinator and workers (defaults to $HALFBACK_CLUSTER_KEY); required for non-loopback workers")
 	return fs
 }
 
@@ -181,12 +164,8 @@ func run(args []string) int {
 	if cfg.repro != "" {
 		return runRepro(cfg.repro)
 	}
-	if cfg.serveWorker != "" {
-		return runServeWorker(cfg)
-	}
 
 	var journal *fleet.Journal
-	resuming := false
 	if cfg.resume != "" {
 		if cfg.journal != "" {
 			return fail(2, "-journal and -resume are mutually exclusive")
@@ -208,12 +187,7 @@ func run(args []string) int {
 		}
 		cfg.workers = override.workers
 		cfg.cpuprofile, cfg.memprofile = override.cpuprofile, override.memprofile
-		// Distribution is an execution knob like -workers: the resume
-		// command line decides it anew, not the original run's meta.
-		cfg.workersRemote, cfg.distributed, cfg.speculate = override.workersRemote, override.distributed, override.speculate
-		cfg.clusterKey = override.clusterKey
 		journal = j
-		resuming = true
 		fmt.Fprintf(os.Stderr, "halfback-sim: resuming %s (%d journaled cells)\n", j.Path(), j.Replayable())
 	}
 
@@ -275,12 +249,6 @@ func run(args []string) int {
 	}
 	defer writeMemProfile(cfg.memprofile)
 
-	coord, coordCleanup, code := setupCoordinator(cfg, journal, resuming)
-	if code != 0 {
-		return code
-	}
-	defer coordCleanup()
-
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	installSignalHandler(cancel)
@@ -288,10 +256,6 @@ func run(args []string) int {
 	sc := experiment.Scale{Trials: cfg.scale, Horizon: cfg.scale, Workers: cfg.workers, Ctx: ctx}
 	if journal != nil {
 		sc.Run = &fleet.Run{Journal: journal}
-	}
-	if coord != nil {
-		sc.Run.Dispatch = coord
-		sc.Workers = coord.Slots()
 	}
 
 	if cfg.benchjson {
@@ -336,9 +300,6 @@ func run(args []string) int {
 	}
 	if failed {
 		return 1
-	}
-	if coord != nil {
-		coord.ShutdownWorkers()
 	}
 	return 0
 }

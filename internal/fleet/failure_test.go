@@ -119,8 +119,8 @@ func TestRetryableMarker(t *testing.T) {
 // MapRetry re-runs only retryable failures, and only up to the attempt
 // budget; deterministic failures and panics fail on the spot.
 func TestMapRetry(t *testing.T) {
-	attemptsSeen := make([][]int, 4)
-	out, err := MapRetry(context.Background(), 1, Retry{Attempts: 3}, 4, nil, func(i, attempt int) (int, error) {
+	attemptsSeen := make([][]int, 5)
+	out, err := MapRetry(context.Background(), 1, Retry{Attempts: 3}, 5, nil, func(i, attempt int) (int, error) {
 		attemptsSeen[i] = append(attemptsSeen[i], attempt)
 		switch i {
 		case 0: // succeeds immediately
@@ -132,24 +132,31 @@ func TestMapRetry(t *testing.T) {
 			return 11, nil
 		case 2: // deterministic: never retried
 			return 0, errors.New("hard failure")
-		default: // retryable but never recovers: exhausts the budget
+		case 3: // retryable but never recovers: exhausts the budget
 			return 0, Retryable(errors.New("always down"))
+		default: // panics on its first attempt: a crash is never retried
+			panic("deterministic crash")
 		}
 	})
-	if want := []int{10, 11, 0, 0}; !equalInts(out, want) {
+	if want := []int{10, 11, 0, 0, 0}; !equalInts(out, want) {
 		t.Fatalf("out = %v, want %v", out, want)
 	}
-	if len(attemptsSeen[0]) != 1 || len(attemptsSeen[1]) != 3 ||
-		len(attemptsSeen[2]) != 1 || len(attemptsSeen[3]) != 3 {
-		t.Fatalf("attempt counts %v, want [1 3 1 3] pattern",
-			[]int{len(attemptsSeen[0]), len(attemptsSeen[1]), len(attemptsSeen[2]), len(attemptsSeen[3])})
+	counts := make([]int, len(attemptsSeen))
+	for i, a := range attemptsSeen {
+		counts[i] = len(a)
+	}
+	if want := []int{1, 3, 1, 3, 1}; !equalInts(counts, want) {
+		t.Fatalf("attempt counts %v, want %v", counts, want)
 	}
 	jes := JobErrors(err)
-	if len(jes) != 2 {
-		t.Fatalf("%d JobErrors, want 2 (jobs 2 and 3): %v", len(jes), err)
+	if len(jes) != 3 {
+		t.Fatalf("%d JobErrors, want 3 (jobs 2, 3 and 4): %v", len(jes), err)
 	}
-	if jes[0].Index != 2 || jes[1].Index != 3 {
-		t.Fatalf("failed indices %d,%d want 2,3", jes[0].Index, jes[1].Index)
+	if jes[0].Index != 2 || jes[1].Index != 3 || jes[2].Index != 4 {
+		t.Fatalf("failed indices %d,%d,%d want 2,3,4", jes[0].Index, jes[1].Index, jes[2].Index)
+	}
+	if jes[2].Class() != ClassPanicked {
+		t.Fatalf("job 4 class %q, want %q", jes[2].Class(), ClassPanicked)
 	}
 }
 

@@ -116,16 +116,6 @@ type Run struct {
 	Journal *Journal
 	Target  *CellTarget
 
-	// Dispatch, when non-nil, makes this process the coordinator of a
-	// distributed run: cells resolve through the Dispatcher instead of
-	// executing locally (DESIGN.md §12). Mutually exclusive with Serve.
-	Dispatch Dispatcher
-	// Serve, when non-nil, makes this process a worker: every sweep is
-	// offered to the SweepServer for remote execution and the local
-	// result slice stays at zero values. Mutually exclusive with
-	// Dispatch.
-	Serve SweepServer
-
 	sweep atomic.Uint32
 }
 
@@ -201,23 +191,6 @@ func MapOpts[T any](o Options, n int, fn func(i, attempt int) (T, error)) ([]T, 
 	}
 	job := newCellRunner(o, n, fn)
 
-	if r := o.Run; r != nil && r.Serve != nil {
-		// Worker side of a distributed run: offer the sweep's cells to
-		// the coordinator and return zero values — only the coordinator
-		// assembles real results. A serve failure (session torn down,
-		// coordinator gone) labels every cell so the surrounding sweep
-		// fails loudly instead of rendering a silently empty exhibit.
-		if r.Dispatch != nil {
-			panic(errServeOnly)
-		}
-		if err := r.Serve.ServeSweep(job.sweep, n, job.serveCell); err != nil {
-			for i := 0; i < n; i++ {
-				errs[i] = &JobError{Index: i, Label: job.label(i), Err: err}
-			}
-		}
-		return out, errors.Join(errs...)
-	}
-
 	w := Workers(o.Workers)
 	if w > n {
 		w = n
@@ -232,7 +205,6 @@ func MapOpts[T any](o Options, n int, fn func(i, attempt int) (T, error)) ([]T, 
 			}
 			out[i], errs[i] = job.run(i)
 		}
-		job.sweepDone()
 		return out, errors.Join(errs...)
 	}
 
@@ -277,7 +249,6 @@ func MapOpts[T any](o Options, n int, fn func(i, attempt int) (T, error)) ([]T, 
 			errs[i] = &JobError{Index: i, Label: job.label(i), Err: err}
 		}
 	}
-	job.sweepDone()
 	return out, errors.Join(errs...)
 }
 
@@ -296,19 +267,8 @@ func newCellRunner[T any](o Options, n int, fn func(i, attempt int) (T, error)) 
 		if j := o.Run.Journal; j != nil {
 			j.beginSweep(c.sweep, n)
 		}
-		if d := o.Run.Dispatch; d != nil {
-			d.BeginSweep(c.sweep, n)
-		}
 	}
 	return c
-}
-
-// sweepDone tells the dispatcher (if any) that every cell of this sweep
-// has merged, releasing workers blocked on the sweep's end.
-func (c *cellRunner[T]) sweepDone() {
-	if r := c.o.Run; r != nil && r.Dispatch != nil {
-		r.Dispatch.SweepDone(c.sweep)
-	}
 }
 
 func (c *cellRunner[T]) label(i int) string {
@@ -357,33 +317,6 @@ func (c *cellRunner[T]) attempt(i int) (out T, err error) {
 		}
 	}
 
-	if d := dispatcherOf(c.o.Run); d != nil && target == nil {
-		if res, derr := d.DispatchCell(c.sweep, uint32(i), c.label(i)); derr == nil {
-			if res.Failed {
-				rerr := outcomeFailure(res)
-				if j != nil {
-					j.appendFailure(c.sweep, uint32(i), c.label(i), Classify(rerr), rerr.Error())
-				}
-				var zero T
-				return zero, rerr
-			}
-			if derr := decodeCell(res.Data, &out); derr != nil {
-				var zero T
-				return zero, fmt.Errorf("remote result of sweep %d cell %d: %w", c.sweep, i, derr)
-			}
-			if j != nil {
-				if werr := j.AppendCellData(c.sweep, uint32(i), res.Data); werr != nil {
-					var zero T
-					return zero, fmt.Errorf("journal append for sweep %d cell %d: %w", c.sweep, i, werr)
-				}
-			}
-			return out, nil
-		}
-		// Dispatch infrastructure failed (every worker dead): fall
-		// through and execute the cell locally — the result is the same
-		// bytes, because cells derive everything from their own seed.
-	}
-
 	out, err = c.retryLoop(i)
 	if target != nil {
 		target.record(err)
@@ -415,55 +348,6 @@ func (c *cellRunner[T]) retryLoop(i int) (out T, err error) {
 		}
 	}
 	return out, err
-}
-
-// serveCell executes one cell on behalf of a coordinator (the worker
-// side of a distributed run): journal replay, the full local retry and
-// panic-capture semantics, write-through to the worker's own journal,
-// and the outcome in wire form. It never panics — a broken cell becomes
-// a failure outcome like any other.
-func (c *cellRunner[T]) serveCell(cell uint32) (res *CellOutcome) {
-	i := int(cell)
-	defer func() {
-		if r := recover(); r != nil {
-			res = failureOutcome(c.label(i), capturePanic(r))
-		}
-	}()
-	var j *Journal
-	if c.o.Run != nil {
-		j = c.o.Run.Journal
-	}
-	if j != nil {
-		if data, ok := j.lookupCell(c.sweep, cell); ok {
-			return &CellOutcome{Data: data}
-		}
-	}
-	out, err := c.retryLoop(i)
-	if err != nil {
-		if j != nil {
-			j.appendFailure(c.sweep, cell, c.label(i), Classify(err), err.Error())
-		}
-		return failureOutcome(c.label(i), err)
-	}
-	data, eerr := encodeCellData(&out)
-	if eerr != nil {
-		return failureOutcome(c.label(i), fmt.Errorf("encode cell result: %w", eerr))
-	}
-	// Worker-side journaling is belt and braces for coordinator crashes;
-	// the reply itself lands in the canonical journal, so a local append
-	// failure must not fail the cell.
-	if j != nil {
-		_ = j.AppendCellData(c.sweep, cell, data)
-	}
-	return &CellOutcome{Data: data}
-}
-
-// dispatcherOf extracts the coordinator hook, nil-safe.
-func dispatcherOf(r *Run) Dispatcher {
-	if r == nil {
-		return nil
-	}
-	return r.Dispatch
 }
 
 // runAttempt runs one attempt with its own panic capture, so a

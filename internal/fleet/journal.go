@@ -10,7 +10,6 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"sort"
 	"sync"
 )
 
@@ -104,35 +103,6 @@ type JournalScan struct {
 	// data, nil for a clean journal. A torn tail is expected after a
 	// crash and does not make the journal unusable.
 	TailErr error
-}
-
-// Canonical reduces the scan to its replay-relevant content: the last
-// record per (sweep, cell) — the one replay would use — sorted by
-// address, with file offsets cleared. Two journals whose appends
-// happened in different physical orders (a fact of any concurrent or
-// chaos-perturbed run) have equal Canonical forms exactly when they
-// resume to the same state; it is the journal-identity relation the
-// chaos suite asserts.
-func (s *JournalScan) Canonical() []JournalRecord {
-	last := make(map[cellKey]JournalRecord, len(s.Records))
-	for _, rec := range s.Records {
-		if rec.Kind != recCell && rec.Kind != recFail {
-			continue
-		}
-		rec.Offset, rec.Len = 0, 0
-		last[cellKey{rec.Sweep, rec.Cell}] = rec
-	}
-	out := make([]JournalRecord, 0, len(last))
-	for _, rec := range last {
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Sweep != out[b].Sweep {
-			return out[a].Sweep < out[b].Sweep
-		}
-		return out[a].Cell < out[b].Cell
-	})
-	return out
 }
 
 // ErrJournalCorrupt reports a journal whose header or meta record is
@@ -270,11 +240,6 @@ func decodeString(b []byte) (string, []byte, error) {
 // cellKey addresses one cell across a run's sweeps.
 type cellKey struct{ sweep, cell uint32 }
 
-// failInfo is the in-memory state of a cell whose latest record is a
-// failure — everything needed to re-emit the record (worker journal
-// uploads, merges).
-type failInfo struct{ label, class, msg string }
-
 // SweepProgress is one sweep's completion state, for the partial table
 // an interrupted run renders.
 type SweepProgress struct {
@@ -292,8 +257,7 @@ type Journal struct {
 	f        *os.File
 	path     string
 	meta     JournalMeta
-	replay   map[cellKey][]byte   // cells whose latest record is a success (gob payload)
-	failed   map[cellKey]failInfo // cells whose latest record is a failure
+	replay   map[cellKey][]byte // successes from a resumed journal, last record wins (gob payload)
 	progress map[uint32]*SweepProgress
 	sweeps   []uint32 // sweep IDs in begin order
 	bundles  []string // repro bundle paths written this process
@@ -361,9 +325,7 @@ func ResumeJournal(path string) (*Journal, error) {
 		switch rec.Kind {
 		case recCell:
 			j.replay[key] = rec.Data
-			delete(j.failed, key)
 		case recFail:
-			j.failed[key] = failInfo{rec.Label, rec.Class, rec.Error}
 			delete(j.replay, key)
 		}
 	}
@@ -374,7 +336,6 @@ func newJournal(f *os.File, path string, meta JournalMeta) *Journal {
 	return &Journal{
 		f: f, path: path, meta: meta,
 		replay:   make(map[cellKey][]byte),
-		failed:   make(map[cellKey]failInfo),
 		progress: make(map[uint32]*SweepProgress),
 	}
 }
@@ -457,31 +418,28 @@ func (j *Journal) lookupCell(sweep, cell uint32) ([]byte, bool) {
 	return data, ok
 }
 
-// encodeCellData gob-encodes one cell result into the payload form
-// journal records and the distributed wire protocol carry. The encoder
-// is fresh per cell, so the bytes are self-contained and identical for
-// the same value wherever (and in whatever order) cells are encoded —
-// the property that makes worker results byte-interchangeable with
-// locally journaled ones.
-func encodeCellData(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// cellPayload frames a success record payload: kind, key, gob data.
-func cellPayload(sweep, cell uint32, data []byte) []byte {
+// appendCell journals one completed cell: gob-encode, append, fsync.
+func (j *Journal) appendCell(sweep, cell uint32, v any) error {
 	var buf bytes.Buffer
 	buf.WriteByte(recCell)
 	writeCellKey(&buf, sweep, cell)
-	buf.Write(data)
-	return buf.Bytes()
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return err
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.appendRecord(buf.Bytes()); err != nil {
+		return err
+	}
+	j.progressLocked(sweep).Done++
+	return nil
 }
 
-// failPayload frames a failure record payload.
-func failPayload(sweep, cell uint32, label, class, msg string) []byte {
+// appendFailure journals one failed cell and emits its repro bundle.
+// Journal I/O errors here are deliberately swallowed: the cell's real
+// error is already on its way to the caller and must not be masked by
+// a bookkeeping failure.
+func (j *Journal) appendFailure(sweep, cell uint32, label, class, msg string) {
 	var buf bytes.Buffer
 	buf.WriteByte(recFail)
 	writeCellKey(&buf, sweep, cell)
@@ -490,84 +448,13 @@ func failPayload(sweep, cell uint32, label, class, msg string) []byte {
 		buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(s)))])
 		buf.WriteString(s)
 	}
-	return buf.Bytes()
-}
-
-// appendCell journals one completed cell: gob-encode, append, fsync.
-func (j *Journal) appendCell(sweep, cell uint32, v any) error {
-	data, err := encodeCellData(v)
-	if err != nil {
-		return err
-	}
-	return j.AppendCellData(sweep, cell, data)
-}
-
-// AppendCellData journals one completed cell from its already-encoded
-// payload — the write-through path for cells a worker executed. A cell
-// that already has a journaled success is left untouched (nil error):
-// duplicate results from speculative re-dispatch or a reassigned worker
-// are byte-identical anyway, and first-result-wins keeps the journal
-// free of redundant records.
-func (j *Journal) AppendCellData(sweep, cell uint32, data []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	key := cellKey{sweep, cell}
-	if _, ok := j.replay[key]; ok {
-		return nil
-	}
-	if err := j.appendRecord(cellPayload(sweep, cell, data)); err != nil {
-		return err
-	}
-	j.replay[key] = append([]byte(nil), data...)
-	delete(j.failed, key)
-	j.progressLocked(sweep).Done++
-	return nil
-}
-
-// appendFailure journals one failed cell and emits its repro bundle.
-// Journal I/O errors here are deliberately swallowed: the cell's real
-// error is already on its way to the caller and must not be masked by
-// a bookkeeping failure. Last-record-wins applies within a journal: a
-// failure recorded after a success supersedes it (and vice versa), the
-// same order ScanJournal-based replay reconstructs.
-func (j *Journal) appendFailure(sweep, cell uint32, label, class, msg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	key := cellKey{sweep, cell}
-	if err := j.appendRecord(failPayload(sweep, cell, label, class, msg)); err != nil {
+	if err := j.appendRecord(buf.Bytes()); err != nil {
 		return
 	}
-	j.failed[key] = failInfo{label, class, msg}
-	delete(j.replay, key)
 	j.progressLocked(sweep).Failed++
 	j.writeBundleLocked(sweep, cell, label, class, msg)
-}
-
-// SnapshotRecords returns the journal's current per-cell state — the
-// latest record of every (sweep, cell), successes and failures alike —
-// sorted by key for determinism. This is what a worker uploads when a
-// resumed coordinator reconnects: everything it completed before or
-// after the coordinator crashed, ready for Merge into the canonical
-// journal.
-func (j *Journal) SnapshotRecords() []JournalRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]JournalRecord, 0, len(j.replay)+len(j.failed))
-	for key, data := range j.replay {
-		out = append(out, JournalRecord{Kind: recCell, Sweep: key.sweep, Cell: key.cell,
-			Data: append([]byte(nil), data...)})
-	}
-	for key, fi := range j.failed {
-		out = append(out, JournalRecord{Kind: recFail, Sweep: key.sweep, Cell: key.cell,
-			Label: fi.label, Class: fi.class, Error: fi.msg})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Sweep != out[b].Sweep {
-			return out[a].Sweep < out[b].Sweep
-		}
-		return out[a].Cell < out[b].Cell
-	})
-	return out
 }
 
 // appendRecord frames and durably appends one payload. Callers hold
